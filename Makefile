@@ -1,4 +1,4 @@
-.PHONY: all build test lint absint models faults vm-diff serve-smoke check bench bench-compare clean
+.PHONY: all build test lint absint models faults vm-diff serve-smoke perf-smoke check bench bench-compare clean
 
 all: build
 
@@ -98,21 +98,36 @@ serve-smoke: build
 	  || { echo "serve-smoke: daemon verdicts drifted from the one-shot CLI"; exit 1; }
 	@echo "serve-smoke: OK"
 
-# Engine-parity smoke (DESIGN.md §14): the 4-type synthesis workload
+# Engine-parity smoke (DESIGN.md §14): the 5-type synthesis workload
 # run under the tree-walker (AUTOTYPE_VM=off) and the bytecode VM must
 # produce byte-identical ranked output, exercising the AUTOTYPE_VM
-# dispatch end to end.  The pipeline bench checks the same contract
-# in-process (plus step accounting); this one covers the env-var path.
+# dispatch end to end.  issn's top detector is a script whose constant
+# is overwritten per input, so the rewritten-script path is covered.
+# The pipeline bench checks the same contract in-process (plus step
+# accounting); this one covers the env-var path.
 VMDIFF_DIR ?= _build/vm_diff
 vm-diff: build
 	@rm -rf $(VMDIFF_DIR) && mkdir -p $(VMDIFF_DIR)
-	@for t in credit-card ipv4 email isbn; do \
+	@for t in credit-card ipv4 email isbn issn; do \
 	  AUTOTYPE_VM=off dune exec bin/autotype_cli.exe -- synth --type $$t --top 10 > $(VMDIFF_DIR)/$$t.tree || exit 1; \
 	  AUTOTYPE_VM=on dune exec bin/autotype_cli.exe -- synth --type $$t --top 10 > $(VMDIFF_DIR)/$$t.vm || exit 1; \
 	  cmp $(VMDIFF_DIR)/$$t.tree $(VMDIFF_DIR)/$$t.vm || { echo "vm-diff: $$t ranked output diverged between engines"; exit 1; }; \
 	  echo "vm-diff: $$t identical"; \
 	done
 	@echo "vm-diff: OK"
+
+# Benchmark smoke: one short traced scan_resident run of perfbench/
+# (about 10 s).  Fails unless every op was correct and no op compiled
+# anything once set-up was done — a per-run program rebuild that
+# defeats the VM's compile cache shows up as compiles_per_op > 0.
+PERFSMOKE_OUT ?= _build/perf_smoke.json
+perf-smoke: build
+	python3 perfbench/run.py --workload scan_resident --seed 1 --seconds 4 --trace 1 > $(PERFSMOKE_OUT)
+	@python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); \
+	  c = r["metrics"]["minilang.compiles_per_op"]["value"]; \
+	  sys.exit(0 if r["correct"] and c == 0 else \
+	    "perf-smoke: correct=%s compiles_per_op=%s" % (r["correct"], c))' $(PERFSMOKE_OUT)
+	@echo "perf-smoke: OK"
 
 # Full gate: build, test suites, the compile/serve smoke, the
 # fault-injection smoke, the engine-parity smoke, the daemon smoke, and

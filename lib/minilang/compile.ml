@@ -751,11 +751,20 @@ end
 
 module FuncTbl = Hashtbl.Make (FuncKey)
 
+(* Programs from one file (a script and its per-variable rewrites,
+   fuzzer-generated programs) share [prog_file], so the hash mixes in
+   the body length and the first statement, of which [Hashtbl.hash]
+   reads only a bounded prefix, to spread them over buckets. *)
 module ProgKey = struct
   type t = Ast.program
 
   let equal = ( == )
-  let hash (p : Ast.program) = Hashtbl.hash p.Ast.prog_file
+
+  let hash (p : Ast.program) =
+    Hashtbl.hash
+      ( p.Ast.prog_file,
+        List.length p.Ast.prog_body,
+        List.nth_opt p.Ast.prog_body 0 )
 end
 
 module ProgTbl = Hashtbl.Make (ProgKey)

@@ -127,6 +127,43 @@ let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
   end
   else load_fresh ~skip_file repo
 
+(* --- Script-rewrite memo ------------------------------------------ *)
+
+(* [rewrite_script_var] builds a new program, and the VM's compile cache
+   is keyed on a program's physical identity, so rewriting on every run
+   would compile — and retain — one fresh copy per input value.  The
+   rewrite is therefore memoized per domain, keyed by the physical
+   identity of the parsed program plus the overwritten variable.  Two
+   candidates sharing a path and a variable name (same-named test
+   repos, forks) parse to distinct programs and so hold distinct
+   entries: neither can evict the other.  A repository rebuilt with
+   equal files (a model artifact loaded again after eviction) gets the
+   same parsed programs back from [Repo.parse_each], so it hits too.
+   Only the AST is shared; each run still executes it into a freshly
+   loaded scope. *)
+module Script_key = struct
+  type t = Ast.program * string
+
+  let equal ((p1 : Ast.program), v1) ((p2 : Ast.program), v2) =
+    p1 == p2 && String.equal v1 v2
+
+  let hash ((p : Ast.program), v) = Hashtbl.hash (p.Ast.prog_file, v)
+end
+
+module Script_tbl = Hashtbl.Make (Script_key)
+
+let script_cache : Ast.program Script_tbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Script_tbl.create 16)
+
+let rewritten_script ~var (parsed : Ast.program) : Ast.program =
+  let tbl = Domain.DLS.get script_cache in
+  match Script_tbl.find_opt tbl (parsed, var) with
+  | Some prog -> prog
+  | None ->
+    let prog = rewrite_script_var ~var parsed in
+    Script_tbl.add tbl (parsed, var) prog;
+    prog
+
 let run ?(config = default_config) ?(record_assigns = false) ?cancel
     ?deadline_ns (c : Candidate.t) (input : string) : Interp.run_result =
   Telemetry.incr m_runs;
@@ -203,7 +240,7 @@ let run ?(config = default_config) ?(record_assigns = false) ?cancel
           ~virtual_files:[ ("input.txt", input) ]
           (fun ctx -> call_named ctx scope fname [ Value.Vstr "input.txt" ]))
   | Candidate.Script_var (path, var) ->
-    let prog = rewrite_script_var ~var (find_prog path) in
+    let prog = rewritten_script ~var (find_prog path) in
     with_scope ~skip_file:path (fun scope ->
         Interp.run_traced ~config ~record_assigns ?cancel ?deadline_ns (fun ctx ->
             Hashtbl.replace scope.Value.vars "__autotype_input__"

@@ -45,25 +45,34 @@ let parse_all repo : (Minilang.Ast.program list, string) result =
   go [] repo.files
 
 (* Parse results are cached per repository: the analyzer and the
-   execution driver both re-load modules many times.  The key includes
-   a content hash so distinct repositories sharing a name (as happens
-   in tests) do not collide.  A mutex guards the table because the
-   execution engine (lib/exec) traces candidates from several domains;
-   parsing itself happens outside the lock, so two domains may parse
-   the same repository once concurrently — benign, the results are
-   equal and the first insert wins. *)
-let parse_cache :
-    ( string * int,
-      Minilang.Ast.program list * (string * int * string) list )
-    Hashtbl.t =
+   execution driver both re-load modules many times.  The key is the
+   name plus a hash of the file list, but [Hashtbl.hash] stops after a
+   few meaningful values, so two same-named repositories differing
+   only in their fifth file or a later one share a key.  Each entry
+   therefore keeps the file list it was parsed from, and a lookup
+   checks it — [==] first (corpus repositories are built once), then
+   structurally — so colliding repositories get separate entries.  A
+   mutex guards the table because the execution engine (lib/exec)
+   traces candidates from several domains; parsing itself happens
+   outside the lock, so two domains may parse the same repository once
+   concurrently — benign, the results are equal and the first insert
+   wins. *)
+type parsed = Minilang.Ast.program list * (string * int * string) list
+
+let parse_cache : (string * int, file list * parsed) Hashtbl.t =
   Hashtbl.create 64
 
 let parse_cache_lock = Mutex.create ()
 
-let parse_each repo =
+let cached key files =
+  List.find_map
+    (fun (fs, result) -> if fs == files || fs = files then Some result else None)
+    (Hashtbl.find_all parse_cache key)
+
+let parse_each repo : parsed =
   let key = (repo.repo_name, Hashtbl.hash repo.files) in
   Mutex.lock parse_cache_lock;
-  match Hashtbl.find_opt parse_cache key with
+  match cached key repo.files with
   | Some result ->
     Mutex.unlock parse_cache_lock;
     result
@@ -82,7 +91,13 @@ let parse_each repo =
     in
     let result = (List.rev progs, List.rev errs) in
     Mutex.lock parse_cache_lock;
-    if not (Hashtbl.mem parse_cache key) then Hashtbl.add parse_cache key result;
+    let result =
+      match cached key repo.files with
+      | Some first -> first
+      | None ->
+        Hashtbl.add parse_cache key (repo.files, result);
+        result
+    in
     Mutex.unlock parse_cache_lock;
     result
 

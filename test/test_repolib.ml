@@ -258,6 +258,38 @@ let test_config_with_hint_clamp () =
   Alcotest.(check int) "negative hint clamps to 1" 1
     (max_steps (Repolib.Driver.config_with_hint base (Some (-5))))
 
+(* [Hashtbl.hash] reads only a few meaningful values, so these two
+   same-named repositories, which differ only in their fifth file, hash
+   alike; the parse cache must still tell them apart. *)
+let test_parse_cache_collision () =
+  let repo last =
+    Repolib.Repo.make "t/collide" "parse cache"
+      (List.init 5 (fun i ->
+           { Repolib.Repo.path = Printf.sprintf "m%d.py" i;
+             source = (if i = 4 then last else "x = 1\n") }))
+  in
+  let a = repo "def alpha(s):\n    return s\n" in
+  let b = repo "def beta(s):\n    return s\n" in
+  Alcotest.(check bool) "file lists share a hash" true
+    (Hashtbl.hash a.Repolib.Repo.files = Hashtbl.hash b.Repolib.Repo.files);
+  let defines name (r : Repolib.Repo.t) =
+    let progs, _ = Repolib.Repo.parse_each r in
+    List.exists
+      (fun (p : Minilang.Ast.program) ->
+        List.exists
+          (function
+            | Minilang.Ast.Func_def f -> f.Minilang.Ast.fname = name
+            | _ -> false)
+          p.Minilang.Ast.prog_body)
+      progs
+  in
+  Alcotest.(check bool) "first repo parses its own files" true (defines "alpha" a);
+  Alcotest.(check bool) "second repo parses its own files" true (defines "beta" b);
+  Alcotest.(check bool) "no cross-talk" false (defines "alpha" b);
+  Alcotest.(check bool) "equal file lists share the cached parse" true
+    (fst (Repolib.Repo.parse_each a)
+     == fst (Repolib.Repo.parse_each (repo "def alpha(s):\n    return s\n")))
+
 let suite =
   [
     ("variant 1: direct", `Quick, test_variant_direct);
@@ -275,4 +307,6 @@ let suite =
     ("search stemming", `Quick, test_search_stemming);
     ("script argv variant", `Quick, test_script_argv_variant);
     ("budget hint clamped to >= 1", `Quick, test_config_with_hint_clamp);
+    ("parse cache tells colliding repos apart", `Quick,
+     test_parse_cache_collision);
   ]

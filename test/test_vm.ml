@@ -392,6 +392,76 @@ let test_compile_cache () =
           (s2.Compile.cache_hits > s1.Compile.cache_hits)
       | _ -> Alcotest.fail "candidate not found")
 
+(* A [Script_var] run executes a rewritten copy of the script.  The
+   rewrite is memoized, so the VM compiles it once, not once per input —
+   also when two repositories share the script's path and variable name
+   and their candidates alternate, and when a repository is rebuilt
+   with equal files, as loading a model artifact again does. *)
+let issn_script =
+  "code = \"0378-5955\"\n\
+   digits = code.replace(\"-\", \"\")\n\
+   if len(digits) != 8:\n\
+  \    raise ValueError(\"length\")\n\
+   total = 0\n\
+   for i in range(7):\n\
+  \    total += int(digits[i]) * (8 - i)\n"
+
+let script_var_candidate ~repo_name src =
+  let repo =
+    Repolib.Repo.make repo_name "script rewrite"
+      [ { Repolib.Repo.path = "check.py"; source = src } ]
+  in
+  match
+    List.filter
+      (fun (c : Repolib.Candidate.t) ->
+        c.Repolib.Candidate.invocation
+        = Repolib.Candidate.Script_var ("check.py", "code"))
+      (Repolib.Analyzer.candidates_of_repo repo)
+  with
+  | [ c ] -> c
+  | cs -> Alcotest.failf "expected 1 script candidate, got %d" (List.length cs)
+
+let test_script_var_compiles_once () =
+  let a = script_var_candidate ~repo_name:"t/script-a" issn_script in
+  (* Same path and variable, different body: a fork of the script. *)
+  let b =
+    script_var_candidate ~repo_name:"t/script-b"
+      (issn_script ^ "ok = total % 11\n")
+  in
+  let inputs = [ "0378-5955"; "1234-5679"; "12x4-5678"; "123"; "" ] in
+  let check_parity c input =
+    let off, on = run_both c input in
+    compare_runs issn_script input off on
+  in
+  with_engine true (fun () ->
+      (* Warm both candidates: each compiles its rewrite exactly once. *)
+      check_parity a "0000-0000";
+      check_parity b "0000-0000";
+      let warm = (Compile.stats ()).Compile.compiles in
+      for _ = 1 to 20 do
+        List.iter (check_parity a) inputs
+      done;
+      Alcotest.(check int) "repeated runs of one candidate compile nothing"
+        warm (Compile.stats ()).Compile.compiles;
+      for _ = 1 to 20 do
+        List.iter (fun i -> check_parity a i; check_parity b i) inputs
+      done;
+      Alcotest.(check int)
+        "alternating candidates sharing path and variable compile nothing"
+        warm (Compile.stats ()).Compile.compiles;
+      let reloaded = script_var_candidate ~repo_name:"t/script-a" issn_script in
+      List.iter (check_parity reloaded) inputs;
+      Alcotest.(check int) "a rebuilt repository compiles nothing" warm
+        (Compile.stats ()).Compile.compiles;
+      let steps c = (Repolib.Driver.run_safe c "0378-5955").Interp.steps_used in
+      Alcotest.(check bool) "each candidate runs its own script" true
+        (steps b > steps a));
+  match !failures with
+  | [] -> ()
+  | fs ->
+    Alcotest.failf "%d script-run divergence(s); first:\n%s" (List.length fs)
+      (List.hd (List.rev fs))
+
 let suite =
   [ Alcotest.test_case "engines agree on 500 fuzzed programs" `Slow
       test_differential;
@@ -402,4 +472,6 @@ let suite =
     Alcotest.test_case "wall-clock deadline observes the 256-step cadence"
       `Quick test_deadline_parity;
     Alcotest.test_case "compiled programs are cached per candidate" `Quick
-      test_compile_cache ]
+      test_compile_cache;
+    Alcotest.test_case "script rewrites compile once per candidate" `Quick
+      test_script_var_compiles_once ]
