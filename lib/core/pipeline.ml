@@ -299,3 +299,23 @@ let synthesized (o : outcome) : Synthesis.t list =
   List.map
     (fun r -> Synthesis.make r.Ranking.traced.Ranking.candidate r.Ranking.dnf)
     o.ranked
+
+(** Everything observable about an outcome that an engine or an
+    optimisation must not change: strategy, negative set, and the
+    ranked list down to exact scores and DNFs, one line each. *)
+let fingerprint (o : outcome) : string =
+  let strategy =
+    match o.strategy_used with
+    | Some s -> Negative.strategy_to_string s
+    | None -> "-"
+  in
+  let ranked =
+    List.map
+      (fun (r : Ranking.ranked) ->
+        Printf.sprintf "%s|%s|%.17g"
+          (Repolib.Candidate.id r.Ranking.traced.Ranking.candidate)
+          (Dnf.to_string r.Ranking.dnf)
+          r.Ranking.score)
+      o.ranked
+  in
+  String.concat "\n" ((strategy :: o.negatives) @ ranked)

@@ -90,3 +90,8 @@ val best : outcome -> Synthesis.t option
 (** The top-ranked synthesized validation function. *)
 
 val synthesized : outcome -> Synthesis.t list
+
+val fingerprint : outcome -> string
+(** Strategy, negatives, then every ranked candidate as
+    [id|dnf|score] with the score printed [%.17g]: byte-equal
+    fingerprints mean byte-equal ranked output. *)

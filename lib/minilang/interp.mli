@@ -1,5 +1,5 @@
-(** Tree-walking interpreter for MiniScript with execution tracing and
-    sandboxing.
+(** MiniScript execution with tracing and sandboxing, on the bytecode
+    VM ({!Compile} + {!Vm}) — the only engine the library ships.
 
     Every if/elif/while/ternary condition emits a {!Trace.Branch} event,
     every return a {!Trace.Return} with the abstracted value, uncaught
@@ -31,7 +31,7 @@ val cancel_token : unit -> cancel_token
 val cancel : cancel_token -> unit
 val cancel_requested : cancel_token -> bool
 
-type ctx
+type ctx = Rt.ctx
 (** Per-run execution context: collector, budgets, virtual I/O. *)
 
 val create_ctx :
@@ -105,13 +105,21 @@ val call_callable : ctx -> Value.t -> Value.t list -> Value.t
 val call_method : ctx -> Value.t -> string -> Value.t list -> Ast.pos -> Value.t
 (** Call a method on any value (string/list/dict methods included). *)
 
-val set_vm_enabled : bool -> unit
-(** Select the execution engine: [true] (default) runs the bytecode VM
-    ({!Compile} + {!Vm}); [false] runs the tree-walking oracle.  The
-    initial value honours [AUTOTYPE_VM] ([off]/[0]/[false] disable the
-    VM).  Both engines are observationally identical — same trace
-    events, outcomes, step counts and error messages. *)
+type engine = {
+  exec_program : ctx -> Value.scope -> Ast.program -> unit;
+  call_callable : ctx -> Value.t -> Value.t list -> Value.t;
+  call_method : ctx -> Value.t -> string -> Value.t list -> Ast.pos -> Value.t;
+}
+(** The three entry points an execution engine provides. *)
 
-val vm_enabled : unit -> bool
-(** Which engine {!exec_program}, {!call_callable} and {!call_method}
-    currently dispatch to. *)
+val with_engine : engine -> (unit -> 'a) -> 'a
+(** [with_engine e f] runs [f] with {!exec_program}, {!call_callable}
+    and {!call_method} dispatching to [e] instead of the VM, on every
+    domain, and restores the previous engine afterwards.  A test seam:
+    the differential tests substitute the tree-walking oracle
+    ([test/oracle]) this way.  Nothing else selects an engine. *)
+
+val engine_substituted : unit -> bool
+(** Whether a {!with_engine} substitution is in effect.  The driver
+    reloads every module scope while it is, so the oracle stays a
+    per-run-reload baseline. *)

@@ -1,8 +1,8 @@
 (** Shared MiniScript runtime: the engine-independent half of the
     interpreter.
 
-    Both execution engines — the tree-walking {!Interp} (the oracle) and
-    the bytecode {!Vm} — dispatch to the very same value primitives,
+    Both execution engines — the bytecode {!Vm} that {!Interp} runs and
+    the tree-walking parity oracle the tests run (test/oracle) — dispatch to the very same value primitives,
     builtin table, string/list/dict/file methods and regex bridge defined
     here, so their observable semantics cannot drift: every error kind,
     message and sandbox limit below is shared verbatim.

@@ -1,6 +1,6 @@
-(** String-method primitives shared between the tree-walking
-    interpreter and the interpreter-free fast path ({!Absint} compiled
-    summaries).
+(** String-method primitives shared between the interpreter (the
+    bytecode VM and its tree-walking test oracle) and the
+    interpreter-free fast path ({!Absint} compiled summaries).
 
     These used to be private helpers inside {!Interp}.  They are the
     single source of truth for MiniScript string semantics: the fast

@@ -1,5 +1,5 @@
-(** String-method primitives shared between the tree-walking
-    interpreter, the bytecode VM and the interpreter-free fast path
+(** String-method primitives shared between the bytecode VM, the
+    tree-walking test oracle and the interpreter-free fast path
     ({!Absint} compiled summaries).  Single source of truth for
     MiniScript string semantics — the bench asserts byte-identical
     verdicts between all routes. *)

@@ -1,14 +1,16 @@
 (** Bytecode executor for {!Compile} programs.
 
-    The VM is an exact drop-in for the tree-walking evaluator in
-    {!Interp}: identical {!Trace.event} streams, identical outcomes,
+    The VM is the only engine behind {!Interp}, and an exact drop-in
+    for the tree-walking evaluator kept as a test oracle (test/oracle):
+    identical {!Trace.event} streams, identical outcomes,
     identical [ctx.steps] at every observable point (the tick contract
     documented in {!Absint.Stepbound}), identical error messages —
     including the tree-walker's own quirks (the call-depth counter
     leaks on argument-binding errors, [__init__] runs before the
     [__class__] field is attached, handler binders bypass the [global]
-    flag).  The differential fuzzer in [test/test_vm.ml] and the
-    [make vm-diff] smoke assert this bit-for-bit.
+    flag).  The differential tests in [test/test_vm.ml] — a program
+    fuzzer and the synthesis pipeline on five types — assert this
+    bit-for-bit.
 
     Frames live on a single growable value array shared per run
     ([ctx.vm_stack]): a call reserves [nslots + max operand depth]

@@ -1,10 +1,10 @@
-(** Bytecode executor for {!Compile} programs — the fast engine behind
+(** Bytecode executor for {!Compile} programs — the engine behind
     {!Interp}'s public API.
 
     Parity contract: byte-identical {!Trace.event} streams, outcomes,
-    step counts and error messages with the tree-walking evaluator
-    ([AUTOTYPE_VM=off]), asserted by [test/test_vm.ml] and the
-    [make vm-diff] smoke.  Step charging goes through {!Rt.tick_n} at
+    step counts and error messages with the tree-walking evaluator kept
+    as a test oracle (test/oracle), asserted by [test/test_vm.ml] on
+    fuzzed programs and on the synthesis pipeline's ranked output.  Step charging goes through {!Rt.tick_n} at
     exactly the tree-walker's three tick sites, so
     {!Absint.Stepbound} budget hints stay bit-for-bit accurate. *)
 

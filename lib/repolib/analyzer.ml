@@ -249,16 +249,10 @@ type verdict = {
           proven constant-condition spin loop *)
 }
 
-let repo_key (r : Repo.t) = (r.Repo.repo_name, Hashtbl.hash r.Repo.files)
-
 (* Taint analyses are memoized per (repository, input-channel config):
    every candidate of a repo under the same invocation channel shares
-   one call-graph fixpoint.  Same locking discipline as the parse
-   cache: analysis runs outside the lock, first insert wins. *)
-let taint_cache : (string * int * string, Staticcheck.Taint.t) Hashtbl.t =
-  Hashtbl.create 64
-
-let taint_lock = Mutex.create ()
+   one call-graph fixpoint. *)
+let taint_memo : (string, Staticcheck.Taint.t) Repo.memo = Repo.memo ()
 
 let taint_for (repo : Repo.t) ~(channel : Staticcheck.Taint.channel)
     ?global_source () : Staticcheck.Taint.t =
@@ -270,22 +264,10 @@ let taint_for (repo : Repo.t) ~(channel : Staticcheck.Taint.channel)
     | Staticcheck.Taint.Chan_argv, _ -> "argv"
     | Staticcheck.Taint.Chan_file, _ -> "file"
   in
-  let name, h = repo_key repo in
-  let key = (name, h, tag) in
-  Mutex.lock taint_lock;
-  match Hashtbl.find_opt taint_cache key with
-  | Some t ->
-    Mutex.unlock taint_lock;
-    t
-  | None ->
-    Mutex.unlock taint_lock;
-    let progs, _ = Repo.parse_each repo in
-    let env = Staticcheck.Env.build progs in
-    let t = Staticcheck.Taint.analyze ?global_source ~channel env progs in
-    Mutex.lock taint_lock;
-    if not (Hashtbl.mem taint_cache key) then Hashtbl.add taint_cache key t;
-    Mutex.unlock taint_lock;
-    t
+  Repo.memoize taint_memo repo tag (fun () ->
+      let progs, _ = Repo.parse_each repo in
+      let env = Staticcheck.Env.build progs in
+      Staticcheck.Taint.analyze ?global_source ~channel env progs)
 
 (* The entry function's AST, for loop-budget inference.  Candidates are
    extracted per file, so prefer the candidate's own file and fall back
@@ -303,9 +285,6 @@ let find_func (repo : Repo.t) ~file name : func option =
      | Some f -> Some f
      | None -> List.find_map in_prog progs)
   | None -> List.find_map in_prog progs
-
-let verdict_cache : (string * int, verdict) Hashtbl.t = Hashtbl.create 256
-let verdict_lock = Mutex.create ()
 
 let compute_verdict (c : Candidate.t) : verdict =
   let repo = c.Candidate.repo in
@@ -373,22 +352,12 @@ let compute_verdict (c : Candidate.t) : verdict =
     let t = taint_for repo ~channel:Staticcheck.Taint.Chan_stdin () in
     { rankable = Staticcheck.Taint.script_rankable t path; budget_hint = None }
 
+(* Candidate.id is unique within a repository snapshot. *)
+let verdict_memo : (string, verdict) Repo.memo = Repo.memo ()
+
 let verdict (c : Candidate.t) : verdict =
-  (* Candidate.id is unique within a repo snapshot; add the content
-     hash so test repos reusing names do not collide. *)
-  let key = (Candidate.id c, Hashtbl.hash c.Candidate.repo.Repo.files) in
-  Mutex.lock verdict_lock;
-  match Hashtbl.find_opt verdict_cache key with
-  | Some v ->
-    Mutex.unlock verdict_lock;
-    v
-  | None ->
-    Mutex.unlock verdict_lock;
-    let v = compute_verdict c in
-    Mutex.lock verdict_lock;
-    if not (Hashtbl.mem verdict_cache key) then Hashtbl.add verdict_cache key v;
-    Mutex.unlock verdict_lock;
-    v
+  Repo.memoize verdict_memo c.Candidate.repo (Candidate.id c) (fun () ->
+      compute_verdict c)
 
 (* ------------------------------------------------------------------ *)
 (* Abstract-interpretation facts (lib/absint wiring)                   *)
@@ -464,11 +433,6 @@ let unique_toplevel_func (progs : program list) name : func option =
   | [ f ] when !rebinds = 0 && not !global_rebind -> Some f
   | _ -> None
 
-let absint_cache : (string * int, Absint.Domain.facts) Hashtbl.t =
-  Hashtbl.create 256
-
-let absint_lock = Mutex.create ()
-
 let compute_absint (c : Candidate.t) : Absint.Domain.facts =
   match c.Candidate.invocation with
   | Candidate.Direct -> (
@@ -492,52 +456,27 @@ let compute_absint (c : Candidate.t) : Absint.Domain.facts =
        function; other plans add machinery the analyses don't model. *)
     Absint.Domain.unknown_facts
 
+let absint_memo : (string, Absint.Domain.facts) Repo.memo = Repo.memo ()
+
 let absint_facts (c : Candidate.t) : Absint.Domain.facts =
-  let key = (Candidate.id c, Hashtbl.hash c.Candidate.repo.Repo.files) in
-  Mutex.lock absint_lock;
-  match Hashtbl.find_opt absint_cache key with
-  | Some v ->
-    Mutex.unlock absint_lock;
-    v
-  | None ->
-    Mutex.unlock absint_lock;
-    let v = compute_absint c in
-    Mutex.lock absint_lock;
-    if not (Hashtbl.mem absint_cache key) then Hashtbl.add absint_cache key v;
-    Mutex.unlock absint_lock;
-    v
+  Repo.memoize absint_memo c.Candidate.repo (Candidate.id c) (fun () ->
+      compute_absint c)
 
 (* ------------------------------------------------------------------ *)
 (* Repository lint                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let diagnostics_cache : (string * int, Staticcheck.Diag.t list) Hashtbl.t =
-  Hashtbl.create 64
-
-let diagnostics_lock = Mutex.create ()
+let diagnostics_memo : (unit, Staticcheck.Diag.t list) Repo.memo =
+  Repo.memo ()
 
 let repo_diagnostics (repo : Repo.t) : Staticcheck.Diag.t list =
-  let key = repo_key repo in
-  Mutex.lock diagnostics_lock;
-  match Hashtbl.find_opt diagnostics_cache key with
-  | Some ds ->
-    Mutex.unlock diagnostics_lock;
-    ds
-  | None ->
-    Mutex.unlock diagnostics_lock;
-    let progs, skipped = Repo.parse_each repo in
-    let parse_diags =
-      List.map
-        (fun (file, line, msg) ->
-          Staticcheck.Check.parse_error_diag ~file ~line msg)
-        skipped
-    in
-    let ds =
+  Repo.memoize diagnostics_memo repo () (fun () ->
+      let progs, skipped = Repo.parse_each repo in
+      let parse_diags =
+        List.map
+          (fun (file, line, msg) ->
+            Staticcheck.Check.parse_error_diag ~file ~line msg)
+          skipped
+      in
       List.sort Staticcheck.Diag.compare
-        (parse_diags @ Staticcheck.Check.check_programs progs)
-    in
-    Mutex.lock diagnostics_lock;
-    if not (Hashtbl.mem diagnostics_cache key) then
-      Hashtbl.add diagnostics_cache key ds;
-    Mutex.unlock diagnostics_lock;
-    ds
+        (parse_diags @ Staticcheck.Check.check_programs progs))

@@ -40,7 +40,7 @@ let rewrite_script_var ~var (prog : Ast.program) : Ast.program =
   in
   { prog with Ast.prog_body = body }
 
-(* --- Loaded-scope reuse (VM engine only) -------------------------- *)
+(* --- Loaded-scope reuse -------------------------------------------- *)
 
 (* Re-loading a module scope on every run keeps state from leaking
    between examples, but for most corpus repositories the loaded scope
@@ -49,11 +49,12 @@ let rewrite_script_var ~var (prog : Ast.program) : Ast.program =
    deeply immutable (so calls can never mutate state reachable from
    it).  Such scopes are safe to reuse across runs — observations are
    identical to a fresh load because nothing a run does is visible in
-   the scope afterwards.  Reuse is gated on the VM engine so
-   [AUTOTYPE_VM=off] remains a true per-run-reload oracle baseline,
-   and script invocations (which execute INTO the scope) always
-   reload.  Per-domain table: scopes are mutable structures and must
-   not be shared across tracing domains. *)
+   the scope afterwards.  While a test substitutes another engine
+   ({!Interp.with_engine}) every run reloads, so the tree-walking
+   oracle stays a true per-run-reload baseline and the differential
+   tests check reuse against it.  Script invocations (which execute
+   INTO the scope) always reload.  Per-domain table: scopes are
+   mutable structures and must not be shared across tracing domains. *)
 
 let rec immutable_value (v : Value.t) =
   match v with
@@ -101,7 +102,7 @@ let load_fresh ?(skip_file = "") (repo : Repo.t) : Value.scope option =
     Some scope
 
 let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
-  if skip_file = "" && Interp.vm_enabled () then begin
+  if skip_file = "" && not (Interp.engine_substituted ()) then begin
     (* Consult the cache before even parsing: a hit costs one short
        string hash and a table probe — no parse-cache mutex, no file
        hashing, no program filtering. *)

@@ -44,62 +44,63 @@ let parse_all repo : (Minilang.Ast.program list, string) result =
   in
   go [] repo.files
 
-(* Parse results are cached per repository: the analyzer and the
-   execution driver both re-load modules many times.  The key is the
-   name plus a hash of the file list, but [Hashtbl.hash] stops after a
-   few meaningful values, so two same-named repositories differing
-   only in their fifth file or a later one share a key.  Each entry
-   therefore keeps the file list it was parsed from, and a lookup
-   checks it — [==] first (corpus repositories are built once), then
-   structurally — so colliding repositories get separate entries.  A
-   mutex guards the table because the execution engine (lib/exec)
-   traces candidates from several domains; parsing itself happens
-   outside the lock, so two domains may parse the same repository once
+(* Per-repository memo tables.  Parse results and the analyzer's facts
+   are computed many times per repository, so each is memoized under
+   the repository's name plus a hash of its file list.  [Hashtbl.hash]
+   stops after a few meaningful values, so two same-named repositories
+   differing only in their fifth file or a later one share a key.  Each
+   entry therefore keeps the file list it was computed from, and a
+   lookup checks it — [==] first (corpus repositories are built once),
+   then structurally — so colliding repositories get separate entries.
+   A mutex guards each table because the execution engine (lib/exec)
+   traces candidates from several domains; the computation itself runs
+   outside the lock, so two domains may compute the same entry
    concurrently — benign, the results are equal and the first insert
    wins. *)
+type ('k, 'v) memo = {
+  table : (string * int * 'k, file list * 'v) Hashtbl.t;
+  lock : Mutex.t;
+}
+
+let memo () = { table = Hashtbl.create 64; lock = Mutex.create () }
+
+let memoize m repo k compute =
+  let key = (repo.repo_name, Hashtbl.hash repo.files, k) in
+  let find () =
+    List.find_map
+      (fun (fs, v) ->
+        if fs == repo.files || fs = repo.files then Some v else None)
+      (Hashtbl.find_all m.table key)
+  in
+  match Mutex.protect m.lock find with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Mutex.protect m.lock (fun () ->
+        match find () with
+        | Some first -> first
+        | None ->
+          Hashtbl.add m.table key (repo.files, v);
+          v)
+
 type parsed = Minilang.Ast.program list * (string * int * string) list
 
-let parse_cache : (string * int, file list * parsed) Hashtbl.t =
-  Hashtbl.create 64
-
-let parse_cache_lock = Mutex.create ()
-
-let cached key files =
-  List.find_map
-    (fun (fs, result) -> if fs == files || fs = files then Some result else None)
-    (Hashtbl.find_all parse_cache key)
+let parse_memo : (unit, parsed) memo = memo ()
 
 let parse_each repo : parsed =
-  let key = (repo.repo_name, Hashtbl.hash repo.files) in
-  Mutex.lock parse_cache_lock;
-  match cached key repo.files with
-  | Some result ->
-    Mutex.unlock parse_cache_lock;
-    result
-  | None ->
-    Mutex.unlock parse_cache_lock;
-    let progs, errs =
-      List.fold_left
-        (fun (progs, errs) f ->
-          match Minilang.Parser.parse ~file:f.path f.source with
-          | prog -> (prog :: progs, errs)
-          | exception Minilang.Parser.Parse_error (msg, line) ->
-            (progs, (f.path, line, msg) :: errs)
-          | exception Minilang.Lexer.Lex_error (msg, line) ->
-            (progs, (f.path, line, "lex: " ^ msg) :: errs))
-        ([], []) repo.files
-    in
-    let result = (List.rev progs, List.rev errs) in
-    Mutex.lock parse_cache_lock;
-    let result =
-      match cached key repo.files with
-      | Some first -> first
-      | None ->
-        Hashtbl.add parse_cache key (repo.files, result);
-        result
-    in
-    Mutex.unlock parse_cache_lock;
-    result
+  memoize parse_memo repo () (fun () ->
+      let progs, errs =
+        List.fold_left
+          (fun (progs, errs) f ->
+            match Minilang.Parser.parse ~file:f.path f.source with
+            | prog -> (prog :: progs, errs)
+            | exception Minilang.Parser.Parse_error (msg, line) ->
+              (progs, (f.path, line, msg) :: errs)
+            | exception Minilang.Lexer.Lex_error (msg, line) ->
+              (progs, (f.path, line, "lex: " ^ msg) :: errs))
+          ([], []) repo.files
+      in
+      (List.rev progs, List.rev errs))
 
 let programs repo =
   match parse_each repo with

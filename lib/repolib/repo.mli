@@ -28,6 +28,19 @@ val intends : t -> func_name:string -> type_id:string -> bool
 
 val parse_all : t -> (Minilang.Ast.program list, string) result
 
+type ('k, 'v) memo
+(** A table of values computed per repository and key. *)
+
+val memo : unit -> ('k, 'v) memo
+
+val memoize : ('k, 'v) memo -> t -> 'k -> (unit -> 'v) -> 'v
+(** [memoize m repo k compute] returns the value stored for [repo] and
+    [k], computing and storing it on a miss.  An entry matches only a
+    repository with the same name and an equal file list, so
+    same-named repositories whose file lists collide under
+    [Hashtbl.hash] get separate entries.  Safe to call from several
+    domains; when two compute the same entry, the first insert wins. *)
+
 val parse_each : t -> Minilang.Ast.program list * (string * int * string) list
 (** Cached per-file parse: the programs that parse, plus a
     [(path, line, message)] record for each file that does not.  The

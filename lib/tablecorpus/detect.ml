@@ -85,6 +85,55 @@ let budgets ?value_budget_ms ?deadline_ms () =
     batch_deadline = Option.map Exec.Deadline.after_ms deadline_ms;
   }
 
+type value_verdict = V_valid | V_invalid | V_deadline | V_skipped
+
+let value_verdict_to_string = function
+  | V_valid -> "VALID"
+  | V_invalid -> "invalid"
+  | V_deadline -> "DEADLINE"
+  | V_skipped -> "SKIPPED"
+
+(* The per-value budget loop behind {!serve_values} and
+   {!serve_column}.  Each value runs under the tighter of its own budget
+   and the batch deadline; a value that deadlines answers [V_deadline]
+   ([serve.deadline_hits]).  Once the batch deadline has passed, the
+   loop stops and returns the values it did not run.  A cut batch is
+   counted once ([serve.degraded]) and — exactly what the flight
+   recorder exists for — recorded as a ["degraded"] event attributed to
+   [site], after which the ring is dumped for post-mortem if a path is
+   set. *)
+let fold_budgeted ~site ~budgets syn values ~init f =
+  let rec go seen acc = function
+    | [] -> (acc, [])
+    | _ :: _ as rest
+      when Option.fold ~none:false ~some:Exec.Deadline.expired
+             budgets.batch_deadline ->
+      Telemetry.incr m_degraded;
+      Telemetry.mark r_degraded;
+      Telemetry.Flight.record ~kind:"degraded" ~value:(float_of_int seen)
+        ("serve." ^ site);
+      Telemetry.Flight.trigger ~reason:(site ^ "_degraded");
+      (acc, rest)
+    | v :: rest ->
+      let deadline_ns =
+        Option.map Exec.Deadline.to_ns
+          (Exec.Deadline.min_opt
+             (Option.map Exec.Deadline.after_ms budgets.value_budget_ms)
+             budgets.batch_deadline)
+      in
+      let verdict =
+        match Autotype_core.Synthesis.validate_v ?deadline_ns syn v with
+        | Autotype_core.Synthesis.Valid -> V_valid
+        | Autotype_core.Synthesis.Invalid -> V_invalid
+        | Autotype_core.Synthesis.Deadline ->
+          Telemetry.incr m_deadline_hits;
+          Telemetry.mark r_deadline_hits;
+          V_deadline
+      in
+      go (seen + 1) (f acc verdict) rest
+  in
+  go 0 init values
+
 type column_verdict =
   | Column_match of float
   | Column_no_match of float
@@ -99,41 +148,20 @@ type column_verdict =
 let serve_column ?(budgets = no_budgets)
     (syn : Autotype_core.Synthesis.t) (values : string list) : column_verdict =
   let total = List.length values in
-  let finish accepted =
-    let frac =
-      if total = 0 then 0.0 else float_of_int accepted /. float_of_int total
-    in
-    if frac > detection_threshold then Column_match frac
-    else Column_no_match frac
-  in
-  let rec go seen accepted = function
-    | [] -> finish accepted
-    | v :: rest ->
-      (match budgets.batch_deadline with
-       | Some d when Exec.Deadline.expired d ->
-         Telemetry.incr m_degraded;
-         Telemetry.mark r_degraded;
-         (* A degraded column is exactly what the flight recorder
-            exists for: record the event with its request attribution,
-            then dump the ring for post-mortem if a path is set. *)
-         Telemetry.Flight.record ~kind:"degraded"
-           ~value:(float_of_int seen) "serve.column";
-         Telemetry.Flight.trigger ~reason:"column_degraded";
-         Column_degraded { seen; accepted; total }
-       | _ ->
-         let deadline_ns =
-           Option.map Exec.Deadline.to_ns
-             (Exec.Deadline.min_opt
-                (Option.map Exec.Deadline.after_ms budgets.value_budget_ms)
-                budgets.batch_deadline)
-         in
-         (match Autotype_core.Synthesis.validate_v ?deadline_ns syn v with
-          | Autotype_core.Synthesis.Valid -> go (seen + 1) (accepted + 1) rest
-          | Autotype_core.Synthesis.Invalid -> go (seen + 1) accepted rest
-          | Autotype_core.Synthesis.Deadline ->
-            Telemetry.incr m_deadline_hits;
-            Telemetry.mark r_deadline_hits;
-            go (seen + 1) accepted rest))
+  let serve () =
+    match
+      fold_budgeted ~site:"column" ~budgets syn values ~init:0
+        (fun accepted verdict ->
+          if verdict = V_valid then accepted + 1 else accepted)
+    with
+    | accepted, [] ->
+      let frac =
+        if total = 0 then 0.0 else float_of_int accepted /. float_of_int total
+      in
+      if frac > detection_threshold then Column_match frac
+      else Column_no_match frac
+    | accepted, unserved ->
+      Column_degraded { seen = total - List.length unserved; accepted; total }
   in
   Telemetry.mark r_columns;
   if Telemetry.enabled () then
@@ -141,19 +169,11 @@ let serve_column ?(budgets = no_budgets)
       ~attrs:[ ("values", Telemetry.I total) ]
       (fun () ->
         let t_start = Telemetry.now_ns () in
-        let verdict = go 0 0 values in
+        let verdict = serve () in
         Telemetry.observe h_column_latency
           (Int64.to_float (Int64.sub (Telemetry.now_ns ()) t_start) /. 1e6);
         verdict)
-  else go 0 0 values
-
-type value_verdict = V_valid | V_invalid | V_deadline | V_skipped
-
-let value_verdict_to_string = function
-  | V_valid -> "VALID"
-  | V_invalid -> "invalid"
-  | V_deadline -> "DEADLINE"
-  | V_skipped -> "SKIPPED"
+  else serve ()
 
 (** Serve a list of values under budgets, one verdict per value — the
     value-level twin of {!serve_column}, shared by [autotype validate]
@@ -161,36 +181,15 @@ let value_verdict_to_string = function
     Each value runs under the tighter of its own budget and the batch
     deadline ([V_deadline], [serve.deadline_hits]); once the batch
     deadline has passed, the remaining tail is answered [V_skipped]
-    without running ([serve.degraded], counted once per cut batch). *)
+    without running ([serve.degraded] and a ["degraded"] flight event,
+    once per cut batch). *)
 let serve_values ?(budgets = no_budgets) (syn : Autotype_core.Synthesis.t)
     (values : string list) : value_verdict list =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | v :: rest ->
-      (match budgets.batch_deadline with
-       | Some d when Exec.Deadline.expired d ->
-         Telemetry.incr m_degraded;
-         Telemetry.mark r_degraded;
-         List.rev_append acc (List.map (fun _ -> V_skipped) (v :: rest))
-       | _ ->
-         let deadline_ns =
-           Option.map Exec.Deadline.to_ns
-             (Exec.Deadline.min_opt
-                (Option.map Exec.Deadline.after_ms budgets.value_budget_ms)
-                budgets.batch_deadline)
-         in
-         let verdict =
-           match Autotype_core.Synthesis.validate_v ?deadline_ns syn v with
-           | Autotype_core.Synthesis.Valid -> V_valid
-           | Autotype_core.Synthesis.Invalid -> V_invalid
-           | Autotype_core.Synthesis.Deadline ->
-             Telemetry.incr m_deadline_hits;
-             Telemetry.mark r_deadline_hits;
-             V_deadline
-         in
-         go (verdict :: acc) rest)
+  let served, skipped =
+    fold_budgeted ~site:"values" ~budgets syn values ~init:[]
+      (fun acc verdict -> verdict :: acc)
   in
-  go [] values
+  List.rev_append served (List.map (fun _ -> V_skipped) skipped)
 
 (* Values longer than this take the interpreter route even when a
    compiled summary exists: the fast path is proven equivalent at any

@@ -54,8 +54,9 @@ val serve_column :
   column_verdict
 (** Serve one column under budgets.  A value cut by its own budget
     counts as not-accepted ([serve.deadline_hits]); a column cut by the
-    batch deadline degrades to [Column_degraded] ([serve.degraded])
-    instead of failing the batch. *)
+    batch deadline degrades to [Column_degraded] ([serve.degraded], a
+    ["degraded"] flight event labelled [serve.column] and a flight
+    dump trigger) instead of failing the batch. *)
 
 type value_verdict =
   | V_valid
@@ -75,7 +76,10 @@ val serve_values :
     shared by [autotype validate] and the serving daemon.  A value cut
     by its own budget reports [V_deadline] ([serve.deadline_hits]);
     once the batch deadline passes, the remaining tail reports
-    [V_skipped] without running ([serve.degraded]). *)
+    [V_skipped] without running, recorded like a cut column
+    ([serve.degraded], a ["degraded"] flight event labelled
+    [serve.values] and a flight dump trigger).  Shares one budget loop
+    with {!serve_column}. *)
 
 val fastpath_max_len : int
 (** Longest value served by the compiled fast path (4096); longer

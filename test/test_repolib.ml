@@ -290,6 +290,39 @@ let test_parse_cache_collision () =
     (fst (Repolib.Repo.parse_each a)
      == fst (Repolib.Repo.parse_each (repo "def alpha(s):\n    return s\n")))
 
+(* The analyzer's memo tables must tell the same colliding pair apart:
+   [f] in the fifth file returns its input in one repository and a
+   constant in the other, so only the first can ever rank. *)
+let test_verdict_collision () =
+  let repo body =
+    Repolib.Repo.make "t/collide-verdict" "verdict cache"
+      (List.init 5 (fun i ->
+           { Repolib.Repo.path = Printf.sprintf "m%d.py" i;
+             source =
+               (if i = 4 then "def f(value):\n    return " ^ body ^ "\n"
+                else "x = 1\n") }))
+  in
+  let a = repo "len(value) > 2" and b = repo "1" in
+  Alcotest.(check bool) "file lists share a hash" true
+    (Hashtbl.hash a.Repolib.Repo.files = Hashtbl.hash b.Repolib.Repo.files);
+  let f_candidate r =
+    match
+      List.filter
+        (fun (c : Repolib.Candidate.t) ->
+          c.Repolib.Candidate.func_name = "f"
+          && c.Repolib.Candidate.invocation = Repolib.Candidate.Direct)
+        (Repolib.Analyzer.candidates_of_repo r)
+    with
+    | [ c ] -> c
+    | cs -> Alcotest.failf "expected 1 direct candidate, got %d" (List.length cs)
+  in
+  let ca = f_candidate a and cb = f_candidate b in
+  Alcotest.(check string) "same candidate id" (Repolib.Candidate.id ca)
+    (Repolib.Candidate.id cb);
+  let rankable c = (Repolib.Analyzer.verdict c).Repolib.Analyzer.rankable in
+  Alcotest.(check bool) "input-dependent return ranks" true (rankable ca);
+  Alcotest.(check bool) "constant return never ranks" false (rankable cb)
+
 let suite =
   [
     ("variant 1: direct", `Quick, test_variant_direct);
@@ -309,4 +342,6 @@ let suite =
     ("budget hint clamped to >= 1", `Quick, test_config_with_hint_clamp);
     ("parse cache tells colliding repos apart", `Quick,
      test_parse_cache_collision);
+    ("analyzer memo tells colliding repos apart", `Quick,
+     test_verdict_collision);
   ]

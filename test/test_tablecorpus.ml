@@ -376,6 +376,40 @@ let test_degraded_flight_dump () =
     (List.exists (fun l -> contains ~needle:"\"kind\":\"dump\"" l) lines);
   Telemetry.reset ()
 
+(* A validate batch whose deadline passed before it started answers
+   every value SKIPPED without running it, and leaves the same flight
+   trace a cut column does: one "degraded" event. *)
+let test_expired_values_batch_flight () =
+  let syn = ipv4_synthesis () in
+  let values = [ "192.168.0.1"; "not an ip"; "" ] in
+  let saved_dump = Telemetry.Flight.dump_path () in
+  let saved_enabled = Telemetry.Flight.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.Flight.set_dump_path saved_dump;
+      Telemetry.Flight.set_enabled saved_enabled)
+  @@ fun () ->
+  Telemetry.Flight.set_dump_path None;
+  Telemetry.Flight.set_enabled true;
+  Telemetry.Flight.clear ();
+  let b = Tablecorpus.Detect.budgets ~deadline_ms:0.0 () in
+  let verdicts =
+    List.map Tablecorpus.Detect.value_verdict_to_string
+      (Tablecorpus.Detect.serve_values ~budgets:b syn values)
+  in
+  Alcotest.(check (list string)) "every value skipped"
+    [ "SKIPPED"; "SKIPPED"; "SKIPPED" ] verdicts;
+  let degraded =
+    List.filter
+      (fun (e : Telemetry.Flight.event) -> e.Telemetry.Flight.f_kind = "degraded")
+      (Telemetry.Flight.events ())
+  in
+  Alcotest.(check (list string)) "one degraded event for the batch"
+    [ "serve.values" ]
+    (List.map (fun (e : Telemetry.Flight.event) -> e.Telemetry.Flight.f_label)
+       degraded);
+  Telemetry.Flight.clear ()
+
 let suite =
   [
     ("regex inference: homogeneous", `Quick, test_infer_homogeneous);
@@ -394,4 +428,6 @@ let suite =
      test_serve_trace_attribution);
     ("degraded column triggers flight dump", `Slow,
      test_degraded_flight_dump);
+    ("expired validate batch is flight-recorded", `Slow,
+     test_expired_values_batch_flight);
   ]

@@ -1,26 +1,22 @@
 (** Differential testing of the bytecode VM (lib/minilang/{compile,vm})
-    against the tree-walking oracle (DESIGN.md §14).
+    against the tree-walking oracle (test/oracle, DESIGN.md §14).
 
-    Every program runs twice — [AUTOTYPE_VM] off then on — and the two
-    [run_result]s must be byte-identical: outcome (including error kind
+    Every program runs twice — under {!Oracle.with_oracle}, then on the
+    VM — and the two [run_result]s must be byte-identical: outcome (including error kind
     and message), the full trace event list, [steps_used] and captured
     print output.  The corpus is the absint fuzz generator's programs
     plus an extended pool exercising the VM-specific machinery: slot
     binding, try/except/finally sub-units, break/continue trampolines,
     nested defs with defaults, classes, [global], unpacking, and every
     specialized opcode.  Step-budget sweeps around the exact step count
-    pin the batched tick accounting to the oracle's boundary. *)
+    pin the batched tick accounting to the oracle's boundary, and the
+    whole synthesis pipeline is compared end to end on five types. *)
 
 open Minilang
 
-let with_engine on f =
-  let prev = Interp.vm_enabled () in
-  Interp.set_vm_enabled on;
-  Fun.protect ~finally:(fun () -> Interp.set_vm_enabled prev) f
-
 let run_both ?config (c : Repolib.Candidate.t) input =
-  let off = with_engine false (fun () -> Repolib.Driver.run_safe ?config c input) in
-  let on = with_engine true (fun () -> Repolib.Driver.run_safe ?config c input) in
+  let off = Oracle.with_oracle (fun () -> Repolib.Driver.run_safe ?config c input) in
+  let on = Repolib.Driver.run_safe ?config c input in
   (off, on)
 
 let failures = ref []
@@ -325,13 +321,10 @@ let test_cancel_parity () =
       tok
     in
     let off =
-      with_engine false (fun () ->
+      Oracle.with_oracle (fun () ->
           Repolib.Driver.run_safe ~cancel:(fired ()) c "x")
     in
-    let on =
-      with_engine true (fun () ->
-          Repolib.Driver.run_safe ~cancel:(fired ()) c "x")
-    in
+    let on = Repolib.Driver.run_safe ~cancel:(fired ()) c "x" in
     (* A pre-fired token cancels on the very first charged tick in both
        engines — the batched tick must not overshoot. *)
     Alcotest.(check bool) "both cancelled" true
@@ -349,10 +342,9 @@ let test_deadline_parity () =
   match direct_candidates spin_src with
   | [ c ] ->
     let big = { Interp.max_steps = 50_000_000; max_call_depth = 48 } in
-    let run engine =
-      with_engine engine (fun () ->
-          let deadline_ns = Int64.add (Telemetry.now_ns ()) 2_000_000L in
-          Repolib.Driver.run_safe ~config:big ~deadline_ns c "x")
+    let run () =
+      let deadline_ns = Int64.add (Telemetry.now_ns ()) 2_000_000L in
+      Repolib.Driver.run_safe ~config:big ~deadline_ns c "x"
     in
     let check_run label (r : Interp.run_result) =
       (match r.Interp.outcome with
@@ -365,32 +357,29 @@ let test_deadline_parity () =
         0
         (r.Interp.steps_used land 255)
     in
-    check_run "oracle" (run false);
-    check_run "vm" (run true)
+    check_run "oracle" (Oracle.with_oracle run);
+    check_run "vm" (run ())
   | _ -> Alcotest.fail "spin candidate not found"
 
 (* --------------------------- compile cache ------------------------- *)
 
 let test_compile_cache () =
-  with_engine true (fun () ->
-      let src =
-        "def f(value):\n    return value.strip().isdigit()\n"
-      in
-      match direct_candidates src with
-      | [ c ] ->
-        let r1 = Repolib.Driver.run_safe c "12" in
-        let s1 = Compile.stats () in
-        let r2 = Repolib.Driver.run_safe c "ab " in
-        let s2 = Compile.stats () in
-        Alcotest.(check bool) "first run finished" true
-          (match r1.Interp.outcome with Interp.Finished _ -> true | _ -> false);
-        Alcotest.(check bool) "second run finished" true
-          (match r2.Interp.outcome with Interp.Finished _ -> true | _ -> false);
-        Alcotest.(check int) "no recompilation on the second run"
-          s1.Compile.compiles s2.Compile.compiles;
-        Alcotest.(check bool) "second run hit the compile cache" true
-          (s2.Compile.cache_hits > s1.Compile.cache_hits)
-      | _ -> Alcotest.fail "candidate not found")
+  let src = "def f(value):\n    return value.strip().isdigit()\n" in
+  match direct_candidates src with
+  | [ c ] ->
+    let r1 = Repolib.Driver.run_safe c "12" in
+    let s1 = Compile.stats () in
+    let r2 = Repolib.Driver.run_safe c "ab " in
+    let s2 = Compile.stats () in
+    Alcotest.(check bool) "first run finished" true
+      (match r1.Interp.outcome with Interp.Finished _ -> true | _ -> false);
+    Alcotest.(check bool) "second run finished" true
+      (match r2.Interp.outcome with Interp.Finished _ -> true | _ -> false);
+    Alcotest.(check int) "no recompilation on the second run"
+      s1.Compile.compiles s2.Compile.compiles;
+    Alcotest.(check bool) "second run hit the compile cache" true
+      (s2.Compile.cache_hits > s1.Compile.cache_hits)
+  | _ -> Alcotest.fail "candidate not found"
 
 (* A [Script_var] run executes a rewritten copy of the script.  The
    rewrite is memoized, so the VM compiles it once, not once per input —
@@ -433,34 +422,77 @@ let test_script_var_compiles_once () =
     let off, on = run_both c input in
     compare_runs issn_script input off on
   in
-  with_engine true (fun () ->
-      (* Warm both candidates: each compiles its rewrite exactly once. *)
-      check_parity a "0000-0000";
-      check_parity b "0000-0000";
-      let warm = (Compile.stats ()).Compile.compiles in
-      for _ = 1 to 20 do
-        List.iter (check_parity a) inputs
-      done;
-      Alcotest.(check int) "repeated runs of one candidate compile nothing"
-        warm (Compile.stats ()).Compile.compiles;
-      for _ = 1 to 20 do
-        List.iter (fun i -> check_parity a i; check_parity b i) inputs
-      done;
-      Alcotest.(check int)
-        "alternating candidates sharing path and variable compile nothing"
-        warm (Compile.stats ()).Compile.compiles;
-      let reloaded = script_var_candidate ~repo_name:"t/script-a" issn_script in
-      List.iter (check_parity reloaded) inputs;
-      Alcotest.(check int) "a rebuilt repository compiles nothing" warm
-        (Compile.stats ()).Compile.compiles;
-      let steps c = (Repolib.Driver.run_safe c "0378-5955").Interp.steps_used in
-      Alcotest.(check bool) "each candidate runs its own script" true
-        (steps b > steps a));
+  (* Warm both candidates: each compiles its rewrite exactly once. *)
+  check_parity a "0000-0000";
+  check_parity b "0000-0000";
+  let warm = (Compile.stats ()).Compile.compiles in
+  for _ = 1 to 20 do
+    List.iter (check_parity a) inputs
+  done;
+  Alcotest.(check int) "repeated runs of one candidate compile nothing"
+    warm (Compile.stats ()).Compile.compiles;
+  for _ = 1 to 20 do
+    List.iter (fun i -> check_parity a i; check_parity b i) inputs
+  done;
+  Alcotest.(check int)
+    "alternating candidates sharing path and variable compile nothing"
+    warm (Compile.stats ()).Compile.compiles;
+  let reloaded = script_var_candidate ~repo_name:"t/script-a" issn_script in
+  List.iter (check_parity reloaded) inputs;
+  Alcotest.(check int) "a rebuilt repository compiles nothing" warm
+    (Compile.stats ()).Compile.compiles;
+  let steps c = (Repolib.Driver.run_safe c "0378-5955").Interp.steps_used in
+  Alcotest.(check bool) "each candidate runs its own script" true
+    (steps b > steps a);
   match !failures with
   | [] -> ()
   | fs ->
     Alcotest.failf "%d script-run divergence(s); first:\n%s" (List.length fs)
       (List.hd (List.rev fs))
+
+(* ---------------------- end-to-end pipeline ----------------------- *)
+
+(* The synthesis pipeline, end to end, under each engine: every type's
+   fingerprint (strategy, negatives, every ranked candidate id, DNF and
+   %.17g score) must be byte-identical and every type must charge the
+   same [interp.steps].  issn's top detector is a rewritten script
+   ([Script_var]), so that path is covered.  Under the oracle the
+   driver reloads every module scope, while the VM reuses inert ones,
+   so scope reuse is checked against a per-run-reload baseline. *)
+let pipeline_types = [ "credit-card"; "ipv4"; "email"; "isbn"; "issn" ]
+
+let synthesize_traced id =
+  let ty = Semtypes.Registry.find_exn id in
+  let positives = Semtypes.Registry.positive_examples ~n:20 ~seed:11 ty in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let outcome =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        Autotype_core.Pipeline.synthesize ~index:(Corpus.search_index ())
+          ~query:ty.Semtypes.Registry.name ~positives ())
+  in
+  let snap = Telemetry.snapshot () in
+  ( Autotype_core.Pipeline.fingerprint outcome,
+    Telemetry.find_counter snap "interp.steps",
+    Telemetry.find_counter snap "driver.scope_cache_hits" )
+
+let test_pipeline_parity () =
+  List.iter
+    (fun id ->
+      let fp_oracle, steps_oracle, reuse_oracle =
+        Oracle.with_oracle (fun () -> synthesize_traced id)
+      in
+      let fp_vm, steps_vm, reuse_vm = synthesize_traced id in
+      Alcotest.(check string) (id ^ ": ranked output") fp_oracle fp_vm;
+      Alcotest.(check int) (id ^ ": interp.steps") steps_oracle steps_vm;
+      Alcotest.(check bool) (id ^ ": ran the interpreter") true
+        (steps_vm > 0);
+      Alcotest.(check int) (id ^ ": oracle reloads every scope") 0
+        reuse_oracle;
+      Alcotest.(check bool) (id ^ ": vm reuses inert scopes") true
+        (reuse_vm > 0))
+    pipeline_types;
+  Telemetry.reset ()
 
 let suite =
   [ Alcotest.test_case "engines agree on 500 fuzzed programs" `Slow
@@ -474,4 +506,6 @@ let suite =
     Alcotest.test_case "compiled programs are cached per candidate" `Quick
       test_compile_cache;
     Alcotest.test_case "script rewrites compile once per candidate" `Quick
-      test_script_var_compiles_once ]
+      test_script_var_compiles_once;
+    Alcotest.test_case "pipeline output matches the oracle on 5 types" `Slow
+      test_pipeline_parity ]
