@@ -103,17 +103,25 @@ serve-smoke: build
 	  || { echo "serve-smoke: daemon verdicts drifted from the one-shot CLI"; exit 1; }
 	@echo "serve-smoke: OK"
 
-# Benchmark smoke: one short traced scan_resident run of perfbench/
-# (about 10 s).  Fails unless every op was correct and no op compiled
+# Benchmark smoke: short traced runs of perfbench/ (about 30 s).
+# scan_resident fails unless every op was correct and no op compiled
 # anything once set-up was done — a per-run program rebuild that
 # defeats the VM's compile cache shows up as compiles_per_op > 0.
+# synth_popular fails unless every op was correct: each round's
+# fingerprints must equal the warm-up round's, so module state leaking
+# from one run into the next through a restored scope fails an op.
 PERFSMOKE_OUT ?= _build/perf_smoke.json
+PERFSMOKE_SYNTH_OUT ?= _build/perf_smoke_synth.json
 perf-smoke: build
 	python3 perfbench/run.py --workload scan_resident --seed 1 --seconds 4 --trace 1 > $(PERFSMOKE_OUT)
 	@python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); \
 	  c = r["metrics"]["minilang.compiles_per_op"]["value"]; \
 	  sys.exit(0 if r["correct"] and c == 0 else \
 	    "perf-smoke: correct=%s compiles_per_op=%s" % (r["correct"], c))' $(PERFSMOKE_OUT)
+	python3 perfbench/run.py --workload synth_popular --seed 1 --seconds 4 --trace 1 > $(PERFSMOKE_SYNTH_OUT)
+	@python3 -c 'import json, sys; r = json.load(open(sys.argv[1])); \
+	  sys.exit(0 if r["correct"] else \
+	    "perf-smoke: synth_popular failed %s of %s ops" % (r["failed"], r["attempted"]))' $(PERFSMOKE_SYNTH_OUT)
 	@echo "perf-smoke: OK"
 
 # Full gate: build, test suites, the compile/serve smoke, the

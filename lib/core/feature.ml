@@ -31,7 +31,34 @@ let literal_to_string = function
        | Trace.Rvoid -> "is void")
   | Raised kind -> Printf.sprintf "raises %s" kind
 
-let compare_literal (a : literal) (b : literal) = compare a b
+(* Hand-written rather than [Stdlib.compare] (which walks the values
+   generically and dominates featurization), but in exactly the order
+   [Stdlib.compare] gives, so every literal set, DNF and ranked output
+   is unchanged: constructors in declaration order, then the site (file,
+   then line), then the payload.  [Stdlib.compare] puts constant
+   constructors before non-constant ones, hence [Rbool] last. *)
+let ret_rank = function
+  | Trace.Rzero -> 0
+  | Trace.Rnonzero -> 1
+  | Trace.Rnone -> 2
+  | Trace.Rnotnone -> 3
+  | Trace.Rvoid -> 4
+  | Trace.Rbool false -> 5
+  | Trace.Rbool true -> 6
+
+let compare_literal (a : literal) (b : literal) =
+  match (a, b) with
+  | Branch_is (s1, b1), Branch_is (s2, b2) ->
+    let c = Trace.compare_site s1 s2 in
+    if c <> 0 then c else Bool.compare b1 b2
+  | Branch_is _, _ -> -1
+  | _, Branch_is _ -> 1
+  | Return_is (s1, r1), Return_is (s2, r2) ->
+    let c = Trace.compare_site s1 s2 in
+    if c <> 0 then c else Int.compare (ret_rank r1) (ret_rank r2)
+  | Return_is _, _ -> -1
+  | _, Return_is _ -> 1
+  | Raised k1, Raised k2 -> String.compare k1 k2
 
 module Literal_set = Set.Make (struct
   type t = literal

@@ -16,7 +16,7 @@ let site_to_string s = Printf.sprintf "%s:%d" s.s_file s.s_line
 
 let compare_site a b =
   match String.compare a.s_file b.s_file with
-  | 0 -> compare a.s_line b.s_line
+  | 0 -> Int.compare a.s_line b.s_line
   | c -> c
 
 (** Abstraction of a return value, per the featurization of Section 5.2. *)

@@ -1,7 +1,10 @@
 (** Execution driver: run a candidate function on one input string under
     full tracing and sandbox limits (Sections 4.2 and 5.1).
 
-    Each run uses a freshly loaded module scope, so state mutated by a
+    Each run starts from module state exactly as a fresh load leaves it:
+    a repository is loaded once per domain and its list and dict cells
+    are reset before every later run (or, where resetting cannot undo
+    what a run may do, it is loaded afresh), so state mutated by a
     previous execution cannot leak between examples — the equivalent of
     the paper running each instrumented function in its own process. *)
 
@@ -27,6 +30,7 @@ let m_probes = Telemetry.counter "driver.probes"
 let m_rejected = Telemetry.counter "driver.rejected_unexecutable"
 let m_scope_loads = Telemetry.counter "driver.scope_loads"
 let m_scope_cache_hits = Telemetry.counter "driver.scope_cache_hits"
+let m_scope_restores = Telemetry.counter "driver.scope_restores"
 
 let rewrite_script_var ~var (prog : Ast.program) : Ast.program =
   let body =
@@ -42,40 +46,80 @@ let rewrite_script_var ~var (prog : Ast.program) : Ast.program =
 
 (* --- Loaded-scope reuse -------------------------------------------- *)
 
-(* Re-loading a module scope on every run keeps state from leaking
-   between examples, but for most corpus repositories the loaded scope
-   is provably inert: no [global] statement anywhere (so calls can
-   never write into module scope) and every module-level value is
-   deeply immutable (so calls can never mutate state reachable from
-   it).  Such scopes are safe to reuse across runs — observations are
-   identical to a fresh load because nothing a run does is visible in
-   the scope afterwards.  While a test substitutes another engine
-   ({!Interp.with_engine}) every run reloads, so the tree-walking
-   oracle stays a true per-run-reload baseline and the differential
-   tests check reuse against it.  Script invocations (which execute
-   INTO the scope) always reload.  Per-domain table: scopes are
-   mutable structures and must not be shared across tracing domains. *)
+(* Re-executing every file on each run keeps state from leaking between
+   examples, but a load costs more than most runs do.  So the first load
+   of a repository on a domain is kept, together with a snapshot of
+   every list and dict cell reachable from its module values, and every
+   later run first writes the snapshot back ([r := saved] per cell).
+   That leaves the scope exactly as a fresh load left it, because a run
+   has only three ways to change module state:
+   - mutate a list or dict cell, which the snapshot undoes (cells are
+     deduplicated by physical identity, so shared and cyclic structure
+     stays shared, and whatever a run stored into a cell goes with the
+     cell's contents);
+   - rebind a module name, which needs a [global] statement: such
+     repositories reload on every run;
+   - write an object's fields, which live in a [Hashtbl]: a scope that
+     reaches a [Vobj] or [Vbound] reloads on every run.
+   Every other value is immutable (functions and methods close over the
+   module scope itself, never over a function's locals), and a scope
+   with no cells at all is simply reused.  Loads are never charged to a run, so step counts are
+   unaffected.  While a test substitutes another engine
+   ({!Interp.with_engine}) every run reloads, so the tree-walking oracle
+   stays a per-run-reload baseline and the differential tests check
+   restores against it.  Script invocations (which execute INTO the
+   scope) always reload.  Per-domain table: scopes are mutable
+   structures and must not be shared across tracing domains. *)
 
-let rec immutable_value (v : Value.t) =
-  match v with
-  | Value.Vint _ | Value.Vfloat _ | Value.Vbool _ | Value.Vstr _
-  | Value.Vnone | Value.Vbuiltin _ | Value.Vfun _ | Value.Vclass _ ->
-    true
-  | Value.Vtuple vs -> List.for_all immutable_value vs
-  | Value.Vlist _ | Value.Vdict _ | Value.Vobj _ | Value.Vbound _ -> false
+type snapshot = {
+  lists : (Value.t list ref * Value.t list) array;
+  dicts : ((Value.t * Value.t) list ref * (Value.t * Value.t) list) array;
+}
 
-let scope_reusable (progs : Ast.program list) (scope : Value.scope) =
+exception Not_restorable
+
+(** Every cell reachable from [scope]'s module values with its current
+    contents, or [None] when a run could change the scope in a way that
+    resetting cells does not undo. *)
+let snapshot (progs : Ast.program list) (scope : Value.scope) :
+    snapshot option =
   let has_global (p : Ast.program) =
     Ast.fold_stmts
       (fun acc s -> acc || match s with Ast.Global _ -> true | _ -> false)
       false p.Ast.prog_body
   in
-  (not (List.exists has_global progs))
-  && Hashtbl.fold
-       (fun _ v acc -> acc && immutable_value v)
-       scope.Value.vars true
+  let lists = ref [] and dicts = ref [] in
+  let rec walk (v : Value.t) =
+    match v with
+    | Value.Vint _ | Value.Vfloat _ | Value.Vbool _ | Value.Vstr _
+    | Value.Vnone | Value.Vbuiltin _ | Value.Vfun _ | Value.Vclass _ ->
+      ()
+    | Value.Vtuple vs -> List.iter walk vs
+    | Value.Vlist r ->
+      if not (List.memq r !lists) then begin
+        lists := r :: !lists;
+        List.iter walk !r
+      end
+    | Value.Vdict r ->
+      if not (List.memq r !dicts) then begin
+        dicts := r :: !dicts;
+        List.iter (fun (k, v) -> walk k; walk v) !r
+      end
+    | Value.Vobj _ | Value.Vbound _ -> raise Not_restorable
+  in
+  if List.exists has_global progs then None
+  else
+    match Hashtbl.iter (fun _ v -> walk v) scope.Value.vars with
+    | exception Not_restorable -> None
+    | () ->
+      let saved rs = Array.of_list (List.rev_map (fun r -> (r, !r)) rs) in
+      Some { lists = saved !lists; dicts = saved !dicts }
 
-type scope_entry = Reusable of Value.scope | Reload
+let restore { lists; dicts } =
+  Array.iter (fun (r, saved) -> r := saved) lists;
+  Array.iter (fun (r, saved) -> r := saved) dicts
+
+type scope_entry = Kept of Value.scope * snapshot | Reload
 
 (* Keyed by repo name, validated by physical identity of the file list:
    corpus [Repo.t] values are constructed once and reused, so [==] is a
@@ -109,8 +153,12 @@ let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
     let tbl = Domain.DLS.get scope_cache in
     let key = repo.Repo.repo_name in
     match Hashtbl.find_opt tbl key with
-    | Some (files, Reusable scope) when files == repo.Repo.files ->
+    | Some (files, Kept (scope, snap)) when files == repo.Repo.files ->
       Telemetry.incr m_scope_cache_hits;
+      if Array.length snap.lists + Array.length snap.dicts > 0 then begin
+        Telemetry.incr m_scope_restores;
+        restore snap
+      end;
       Some scope
     | Some (files, Reload) when files == repo.Repo.files -> load_fresh repo
     | _ ->
@@ -123,7 +171,9 @@ let load_scope ?(skip_file = "") (repo : Repo.t) : Value.scope option =
          in
          Hashtbl.replace tbl key
            ( repo.Repo.files,
-             if scope_reusable progs scope then Reusable scope else Reload );
+             match snapshot progs scope with
+             | Some snap -> Kept (scope, snap)
+             | None -> Reload );
          Some scope)
   end
   else load_fresh ~skip_file repo

@@ -1,6 +1,15 @@
 (** Execution driver: run a candidate on one input string under tracing
-    and sandbox limits, with a freshly loaded module scope per run so
-    state cannot leak between examples. *)
+    and sandbox limits.  Every run starts from module state exactly as a
+    fresh load leaves it, so state cannot leak between examples: a
+    repository is loaded once per domain and the list and dict cells of
+    its module scope are reset before each later run.  Repositories a
+    reset cannot cover (a [global] statement, module-level objects) and
+    script invocations are loaded afresh for every run.
+
+    Consequence for callers: a [Finished] value may alias a module-level
+    list or dict, and is then valid only until the next run of the same
+    repository on the same domain.  Read it (display it, abstract it)
+    before running that repository again. *)
 
 type outcome = Minilang.Interp.outcome =
   | Finished of Minilang.Value.t
@@ -13,8 +22,6 @@ val default_config : Minilang.Interp.config
 exception Infra_failure of string
 (** The invocation machinery itself failed (callable not defined after
     module load), as opposed to the function failing on the input. *)
-
-val load_scope : ?skip_file:string -> Repo.t -> Minilang.Value.scope option
 
 val run :
   ?config:Minilang.Interp.config ->

@@ -165,6 +165,39 @@ let prop_mutation_hierarchy =
 
 (* ------------------------------ DNF -------------------------------- *)
 
+(* [compare_literal] is hand-written for speed but must order literals
+   exactly as [Stdlib.compare] does, or literal sets, DNFs and ranked
+   output would change.  Small pools make ties and near-ties common:
+   file names that share a prefix, equal lines, every constructor and
+   every [ret_abstract]. *)
+let prop_compare_literal_matches_stdlib =
+  let open QCheck.Gen in
+  let file = oneofl [ ""; "a"; "a.py"; "a.pyc"; "ab.py"; "b.py"; "B.py" ] in
+  let site =
+    map2
+      (fun f l -> { Minilang.Trace.s_file = f; s_line = l })
+      file
+      (oneofl [ -1; 0; 1; 2; 10; max_int ])
+  in
+  let ret =
+    oneofl
+      Minilang.Trace.
+        [ Rbool true; Rbool false; Rzero; Rnonzero; Rnone; Rnotnone; Rvoid ]
+  in
+  let literal =
+    oneof
+      [ map2 (fun s b -> F.Branch_is (s, b)) site bool;
+        map2 (fun s r -> F.Return_is (s, r)) site ret;
+        map (fun k -> F.Raised k)
+          (oneofl [ ""; "Value"; "ValueError"; "TypeError"; "KeyError" ]) ]
+  in
+  QCheck.Test.make ~count:5000 ~name:"compare_literal orders as Stdlib.compare"
+    (QCheck.make ~print:(fun (a, b) ->
+         F.literal_to_string a ^ " vs " ^ F.literal_to_string b)
+       (pair literal literal))
+    (fun (a, b) ->
+      Int.compare (F.compare_literal a b) 0 = Int.compare (compare a b) 0)
+
 let lits_of_list xs = F.Literal_set.of_list xs
 
 let test_dnf_perfect_separation () =
@@ -340,6 +373,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bitset_union_count;
     ("featurize", `Quick, test_featurize);
     ("featurize returns-only (black box)", `Quick, test_featurize_returns_only);
+    QCheck_alcotest.to_alcotest prop_compare_literal_matches_stdlib;
     ("alphabet inference", `Quick, test_alphabet_inference);
     ("S1 preserves structure", `Quick, test_s1_preserves_structure);
     ("S2 mutates punctuation in-alphabet", `Quick, test_s2_mutates_punctuation);

@@ -450,6 +450,162 @@ let test_script_var_compiles_once () =
     Alcotest.failf "%d script-run divergence(s); first:\n%s" (List.length fs)
       (List.hd (List.rev fs))
 
+(* ------------------------- scope restores ------------------------- *)
+
+(* The driver keeps one loaded scope per repository and domain and, for
+   a scope whose only mutable state is lists and dicts, resets those
+   cells before every run instead of reloading.  The entry functions
+   below mutate module state on every call (append, item assignment,
+   lists inside dicts, a list shared by two names, a cyclic list, pop)
+   and branch on it, so state leaking from one run into the next
+   changes the trace.  The oracle reloads every scope, so it is the
+   baseline each VM run must equal. *)
+let mutating_src =
+  "SEEN = []\n\
+   COUNTS = {}\n\
+   NESTED = {\"hist\": [], \"tags\": [\"x\"], \"deep\": {\"xs\": []}}\n\
+   ALIAS = NESTED[\"hist\"]\n\
+   LOOP = []\n\
+   LOOP.append(LOOP)\n\
+   STACK = [\"a\", \"b\", \"c\"]\n\
+   \n\
+   def check(s):\n\
+  \    if s in SEEN:\n\
+  \        return False\n\
+  \    SEEN.append(s)\n\
+  \    if s in COUNTS:\n\
+  \        COUNTS[s] = COUNTS[s] + 1\n\
+  \    else:\n\
+  \        COUNTS[s] = 1\n\
+  \    if len(COUNTS) > 1:\n\
+  \        return False\n\
+  \    NESTED[\"hist\"].append(len(s))\n\
+  \    if len(ALIAS) != 1:\n\
+  \        return False\n\
+  \    NESTED[\"tags\"] = []\n\
+  \    NESTED[\"deep\"][\"xs\"].append(s)\n\
+  \    if len(NESTED[\"deep\"][\"xs\"]) != 1:\n\
+  \        return False\n\
+  \    LOOP.append(s)\n\
+  \    if len(LOOP) != 2:\n\
+  \        return False\n\
+  \    top = STACK.pop()\n\
+  \    if top != \"c\":\n\
+  \        return False\n\
+  \    return len(s) > 2\n"
+
+(* A module-level object and a [global] statement: a reset of list and
+   dict cells cannot undo either, so these repositories reload. *)
+let object_src =
+  "class Box:\n\
+  \    def __init__(self):\n\
+  \        self.n = 0\n\
+   \n\
+   BOX = Box()\n\
+   \n\
+   def check(s):\n\
+  \    BOX.n = BOX.n + len(s)\n\
+  \    if BOX.n > 6:\n\
+  \        return False\n\
+  \    return True\n"
+
+let global_src =
+  "TOTAL = 0\n\
+   \n\
+   def check(s):\n\
+  \    global TOTAL\n\
+  \    TOTAL = TOTAL + len(s)\n\
+  \    if TOTAL > 6:\n\
+  \        return False\n\
+  \    return True\n"
+
+let check_candidate ~repo_name src =
+  let repo =
+    Repolib.Repo.make repo_name "module state"
+      [ { Repolib.Repo.path = "state.py"; source = src } ]
+  in
+  match
+    List.filter
+      (fun (c : Repolib.Candidate.t) ->
+        c.Repolib.Candidate.invocation = Repolib.Candidate.Direct
+        && c.Repolib.Candidate.func_name = "check")
+      (Repolib.Analyzer.candidates_of_repo repo)
+  with
+  | [ c ] -> c
+  | cs -> Alcotest.failf "expected 1 check candidate, got %d" (List.length cs)
+
+let shuffled_inputs seed =
+  let rng = Random.State.make [| seed |] in
+  let inputs =
+    Array.init 24 (fun i -> String.make (1 + (i mod 5)) (Char.chr (97 + i)))
+  in
+  for i = Array.length inputs - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = inputs.(i) in
+    inputs.(i) <- inputs.(j);
+    inputs.(j) <- t
+  done;
+  Array.to_list inputs
+
+(* Runs [c] on every input under both engines, comparing each pair, and
+   returns the VM's per-run (loads, cache hits, restores) deltas. *)
+let vm_scope_counters c src inputs =
+  let counters () =
+    let snap = Telemetry.snapshot () in
+    List.map (Telemetry.find_counter snap)
+      [ "driver.scope_loads"; "driver.scope_cache_hits";
+        "driver.scope_restores" ]
+  in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable (fun () ->
+      List.map
+        (fun input ->
+          let off =
+            Oracle.with_oracle (fun () -> Repolib.Driver.run_safe c input)
+          in
+          let before = counters () in
+          let on = Repolib.Driver.run_safe c input in
+          compare_runs src input off on;
+          List.map2 ( - ) (counters ()) before)
+        inputs)
+
+let expect_no_divergence () =
+  match !failures with
+  | [] -> ()
+  | fs ->
+    failures := [];
+    Alcotest.failf "%d restore divergence(s); first:\n%s" (List.length fs)
+      (List.hd (List.rev fs))
+
+let test_restored_state () =
+  failures := [];
+  let c = check_candidate ~repo_name:"t/restore-lists" mutating_src in
+  let deltas = vm_scope_counters c mutating_src (shuffled_inputs 5) in
+  expect_no_divergence ();
+  let sum k = List.fold_left (fun acc d -> acc + List.nth d k) 0 deltas in
+  Alcotest.(check int) "loaded once" 1 (sum 0);
+  Alcotest.(check int) "every later run restores"
+    (List.length deltas - 1) (sum 2);
+  Alcotest.(check int) "restores are cache hits" (sum 1) (sum 2);
+  Telemetry.reset ()
+
+let test_unrestorable_reloads () =
+  failures := [];
+  List.iter
+    (fun (name, src) ->
+      let c = check_candidate ~repo_name:name src in
+      let deltas = vm_scope_counters c src (shuffled_inputs 9) in
+      expect_no_divergence ();
+      List.iteri
+        (fun i d ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s run %d: one load, no reuse" name i)
+            [ 1; 0; 0 ] d)
+        deltas)
+    [ ("t/reload-object", object_src); ("t/reload-global", global_src) ];
+  Telemetry.reset ()
+
 (* ---------------------- end-to-end pipeline ----------------------- *)
 
 (* The synthesis pipeline, end to end, under each engine: every type's
@@ -507,5 +663,9 @@ let suite =
       test_compile_cache;
     Alcotest.test_case "script rewrites compile once per candidate" `Quick
       test_script_var_compiles_once;
+    Alcotest.test_case "restored module lists and dicts match a reload"
+      `Quick test_restored_state;
+    Alcotest.test_case "objects and global statements still reload" `Quick
+      test_unrestorable_reloads;
     Alcotest.test_case "pipeline output matches the oracle on 5 types" `Slow
       test_pipeline_parity ]
